@@ -7,6 +7,11 @@
  * search.jsonl; a warm re-run evaluates zero new points; a truncated
  * or torn journal resumes to the identical byte stream; a tampered
  * one dies with the conflict exit code).
+ *
+ * The exit assertions here run in gtest's "threadsafe" death-test
+ * style: by then runOnce's static SweepEngine has live worker threads,
+ * and a fork-only child's std::exit would run ~SweepEngine, joining
+ * threads that exist only in the parent (a crash or a hang).
  */
 
 #include <gtest/gtest.h>
@@ -102,6 +107,8 @@ RunStats
 runOnce(const search::SearchOptions &opts, const std::string &cachePath,
         const std::string &journalPath, bool resume = false)
 {
+    // Process-wide pool whose workers outlive every test; the death
+    // tests below re-exec (threadsafe style) so the child owns its own.
     static SweepEngine engine;
     const SystemConfig config = makeSystemConfig(1);
     dispatch::ResultCache cache(cachePath, opts.codeVersion);
@@ -155,6 +162,8 @@ TEST(SearchSpace, ParseEncodeCanonicalizesAxisOrder)
 
 TEST(SearchSpace, ParseRejectsMalformedSpecs)
 {
+    // Under a shuffled order the static engine may already be running.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const auto dies = [](const std::string &spec, const char *msg) {
         EXPECT_EXIT(search::DesignSpace::parse(spec),
                     ::testing::ExitedWithCode(1), msg)
@@ -424,6 +433,9 @@ TEST(SearchDriver, ResumeReplaysEveryPrefixToTheIdenticalJournal)
 
 TEST(SearchDriver, TamperedOrClobberedJournalsRefuseToContinue)
 {
+    // The child re-execs and builds its own pool; gtest restores the
+    // flag when the test ends.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const search::SearchOptions opts =
         tinyOpts("halving", "kinds=fdp;btb_entries=512,1024");
     const std::string cache = tmpPath("shared_cache.jsonl");
